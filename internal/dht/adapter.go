@@ -30,13 +30,7 @@ func AsOverlay(net *Network, seed int64) *Overlay {
 
 // start picks a random live contact node (nil lets the network default
 // when empty; the routed call will then fail with ErrEmptyNetwork).
-func (o *Overlay) start() *Node {
-	nodes := o.net.Nodes()
-	if len(nodes) == 0 {
-		return nil
-	}
-	return nodes[o.rng.Intn(len(nodes))]
-}
+func (o *Overlay) start() *Node { return o.net.randomNode(o.rng) }
 
 // Put implements overlay.Network.
 func (o *Overlay) Put(key keyspace.Key, e overlay.Entry) (overlay.Route, error) {

@@ -143,6 +143,19 @@ func (n *Network) Nodes() []*Node {
 	return out
 }
 
+// randomNode draws a live node uniformly with rng, or returns nil when
+// the ring is empty. The draw happens under n.mu, which also serializes
+// callers that share rng, and indexes the ring in place rather than
+// copying it as Nodes does.
+func (n *Network) randomNode(rng *rand.Rand) *Node {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.sorted) == 0 {
+		return nil
+	}
+	return n.sorted[rng.Intn(len(n.sorted))]
+}
+
 // NodeAt returns the node with the given address.
 func (n *Network) NodeAt(addr string) (*Node, error) {
 	n.mu.Lock()

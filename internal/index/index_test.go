@@ -3,6 +3,8 @@ package index
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"dhtindex/internal/cache"
@@ -65,6 +67,60 @@ func TestLookupReturnsMappings(t *testing.T) {
 	}
 	if resp.Bytes <= 0 {
 		t.Fatal("response bytes not accounted")
+	}
+}
+
+// TestLookupOrdering pins the Response ordering contract: Index and
+// Cached sorted by canonical form whatever the insertion order, Files in
+// the order the owner stored them.
+func TestLookupOrdering(t *testing.T) {
+	net := dht.NewNetwork(1)
+	if _, err := net.Populate(8); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(dht.AsOverlay(net, 1), cache.Single, 0)
+	author := dataset.AuthorQuery("John", "Smith")
+	var targets []xpath.Query
+	for _, title := range []string{"Zebra", "Mango", "Apple", "Kiwi"} {
+		target := dataset.AuthorTitleQuery("John", "Smith", title)
+		if err := svc.InsertMapping(author, target); err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, target)
+	}
+	resp, err := svc.Lookup(author)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(targets) - 1; i >= 0; i-- {
+		svc.AddShortcut(resp.Node, author, targets[i].String())
+	}
+	article := descriptor.Fig1Articles()[0].Descriptor()
+	files := []string{"z.pdf", "a.pdf", "m.pdf"}
+	var msd xpath.Query
+	for _, f := range files {
+		if msd, err = svc.Publish(f, article); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, err = svc.Lookup(author); err != nil {
+		t.Fatal(err)
+	}
+	byString := func(qs []xpath.Query) bool {
+		return slices.IsSortedFunc(qs, func(a, b xpath.Query) int { return strings.Compare(a.String(), b.String()) })
+	}
+	if len(resp.Index) != len(targets) || !byString(resp.Index) {
+		t.Fatalf("Index = %v, want %d entries sorted by canonical form", resp.Index, len(targets))
+	}
+	if len(resp.Cached) != len(targets) || !byString(resp.Cached) {
+		t.Fatalf("Cached = %v, want %d entries sorted by canonical form", resp.Cached, len(targets))
+	}
+	data, err := svc.Lookup(msd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(data.Files, files) {
+		t.Fatalf("Files = %v, want store order %v", data.Files, files)
 	}
 }
 
@@ -436,6 +492,53 @@ func TestSearchAllPrunesIncompatibleBranches(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].File != "x.pdf" {
 		t.Fatalf("results = %v, want just x.pdf", results)
+	}
+}
+
+// TestSearchAllParallelOverChord runs the automated mode with eight
+// concurrent lookups over the simulated Chord overlay, which then draws
+// contact nodes from many goroutines at once (run under -race). Every
+// article of the conference must be found.
+func TestSearchAllParallelOverChord(t *testing.T) {
+	net := dht.NewNetwork(1)
+	if _, err := net.Populate(32); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(dht.AsOverlay(net, 1), cache.None, 0)
+	corpus, err := dataset.Generate(dataset.Config{Articles: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]bool{}
+	for i, a := range corpus.Articles {
+		file := fmt.Sprintf("f%d.pdf", i)
+		if err := svc.PublishArticle(file, a, Simple); err != nil {
+			t.Fatal(err)
+		}
+		if want[a.Conf] == nil {
+			want[a.Conf] = map[string]bool{}
+		}
+		want[a.Conf][file] = true
+	}
+	searcher := NewSearcher(svc)
+	searcher.Parallelism = 8
+	for conf, files := range want {
+		results, _, err := searcher.SearchAll(dataset.ConfQuery(conf))
+		if err != nil {
+			t.Fatalf("%s: %v", conf, err)
+		}
+		got := map[string]bool{}
+		for _, r := range results {
+			got[r.File] = true
+		}
+		if len(got) != len(files) || len(results) != len(files) {
+			t.Fatalf("%s: %d results (%d distinct), want %d", conf, len(results), len(got), len(files))
+		}
+		for f := range files {
+			if !got[f] {
+				t.Fatalf("%s: %s missing from %v", conf, f, results)
+			}
+		}
 	}
 }
 

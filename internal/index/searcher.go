@@ -37,7 +37,7 @@ type Searcher struct {
 	// mode's frontier expansion and the generalization fallback's probes.
 	// Values ≤ 1 keep the exact sequential behaviour (and byte-for-byte
 	// accounting) of the paper's model; higher values need a thread-safe
-	// substrate (the live wire Cluster is, the simulations are not).
+	// substrate (the live wire Cluster and the simulated overlays are).
 	Parallelism int
 
 	// FanoutThreshold is the minimum number of pending branches before a

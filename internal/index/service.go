@@ -16,7 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"dhtindex/internal/cache"
@@ -250,11 +251,13 @@ type Response struct {
 	// Hops is the DHT routing distance from the contact point.
 	Hops int
 	// Index lists the regular index results: queries covered by the asked
-	// query.
+	// query, sorted by canonical form.
 	Index []xpath.Query
-	// Cached lists shortcut targets from the node's adaptive cache.
+	// Cached lists shortcut targets from the node's adaptive cache, sorted
+	// by canonical form.
 	Cached []xpath.Query
-	// Files lists file references when the asked query is a published MSD.
+	// Files lists file references when the asked query is a published MSD,
+	// in the order the owner stores them.
 	Files []string
 	// Bytes is the full serialized response size (the paper's
 	// response-driven traffic measure): cache portion, index entries and
@@ -307,9 +310,15 @@ func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error
 				// A corrupted entry must not poison the lookup.
 				continue
 			}
+			if resp.Index == nil {
+				resp.Index = make([]xpath.Query, 0, len(entries))
+			}
 			resp.Index = append(resp.Index, target)
 			resp.Bytes += int64(len(e.Value))
 		case KindData:
+			if resp.Files == nil {
+				resp.Files = make([]string, 0, len(entries))
+			}
 			resp.Files = append(resp.Files, e.Value)
 			resp.Bytes += int64(len(e.Value))
 		}
@@ -324,14 +333,15 @@ func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error
 			resp.CachePortion += int64(len(tgt))
 		}
 		resp.Bytes += resp.CachePortion
-		sort.Slice(resp.Cached, func(i, j int) bool {
-			return resp.Cached[i].String() < resp.Cached[j].String()
-		})
+		slices.SortFunc(resp.Cached, byCanonical)
 	}
-	sort.Slice(resp.Index, func(i, j int) bool {
-		return resp.Index[i].String() < resp.Index[j].String()
-	})
+	slices.SortFunc(resp.Index, byCanonical)
 	return resp, nil
+}
+
+// byCanonical orders queries by canonical form.
+func byCanonical(a, b xpath.Query) int {
+	return strings.Compare(a.String(), b.String())
 }
 
 // parseCached parses a canonical query string through the memo table.
